@@ -6,12 +6,12 @@
 package prominence
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/remi-kb/remi/internal/kb"
-	"github.com/remi-kb/remi/internal/rdf"
 	"github.com/remi-kb/remi/internal/stats"
 )
 
@@ -55,7 +55,8 @@ const (
 )
 
 // Store holds every ranking needed by the complexity estimator. Build one
-// per (KB, Metric) pair; it is safe for concurrent use after construction.
+// per (KB, Metric) pair; it is safe for concurrent use. Every ranking Ĉ
+// reads is built eagerly into flat arrays and looked up by binary search.
 type Store struct {
 	K      *kb.KB
 	Metric Metric
@@ -64,27 +65,63 @@ type Store struct {
 
 	entScore []float64 // prominence score per entity (fr count or pagerank)
 
-	// Conditional object rankings: per predicate, object -> 1-based rank.
-	condRank []map[kb.EntID]int
+	// Conditional object rankings: row p-1 maps p's distinct objects to
+	// their 1-based ranks.
+	cond rows[kb.EntID, int32]
 
 	// Power-law fits (Eq. 1) per predicate: log2(rank) ≈ Slope*log2(score)+Intercept.
 	fits  []stats.Linear
 	fitOK []bool
 
-	// Join counts: key (p0<<32|p1) -> strength.
-	joinSO map[uint64]int
-	joinSS map[uint64]int
-
-	mu         sync.Mutex
-	joinRankSO map[kb.PredID]map[kb.PredID]int // lazy per-p0 rankings
-	joinRankSS map[kb.PredID]map[kb.PredID]int
-	joinSizeSO map[kb.PredID]int
-	joinSizeSS map[kb.PredID]int
+	// Join rankings per JoinKind: row p0-1 maps p0's join partners p1 to
+	// their 1-based ranks.
+	join [2]rows[kb.PredID, int32]
 
 	globalOnce sync.Once
 	globalRank []int
 
 	custom func(kb.EntID) float64 // entity scores when Metric == Custom
+}
+
+// rows stores one row per predicate in flat arrays: row i is
+// keys[off[i]:off[i+1]], ascending, with vals aligned to keys.
+type rows[K ~uint32, V any] struct {
+	off  []int
+	keys []K
+	vals []V
+}
+
+// size returns the number of keys in row i.
+func (r *rows[K, V]) size(i int) int { return r.off[i+1] - r.off[i] }
+
+// get returns key's value in row i.
+func (r *rows[K, V]) get(i int, key K) (v V, ok bool) {
+	lo := r.off[i]
+	if j, ok := slices.BinarySearch(r.keys[lo:r.off[i+1]], key); ok {
+		return r.vals[lo+j], true
+	}
+	return v, false
+}
+
+// rankRow sets ranks[i] to the 1-based rank of entry i when the entries are
+// ordered by score descending, ties going to the lower index (rows are
+// key-ascending, so to the lower key). It returns the entry indexes in rank
+// order, reusing order's storage.
+func rankRow[S cmp.Ordered](score []S, ranks, order []int32) []int32 {
+	order = order[:0]
+	for i := range score {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(score[b], score[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for r, i := range order {
+		ranks[i] = int32(r + 1)
+	}
+	return order
 }
 
 // Build constructs the full ranking store for k under metric m.
@@ -102,19 +139,11 @@ func BuildWithScores(k *kb.KB, score func(kb.EntID) float64) *Store {
 }
 
 func build(k *kb.KB, m Metric, score func(kb.EntID) float64) *Store {
-	s := &Store{
-		K:          k,
-		Metric:     m,
-		custom:     score,
-		joinRankSO: make(map[kb.PredID]map[kb.PredID]int),
-		joinRankSS: make(map[kb.PredID]map[kb.PredID]int),
-		joinSizeSO: make(map[kb.PredID]int),
-		joinSizeSS: make(map[kb.PredID]int),
-	}
+	s := &Store{K: k, Metric: m, custom: score}
 	s.buildPredicateRanking()
 	s.buildEntityScores()
 	s.buildConditionalRankings()
-	s.buildJoinCounts()
+	s.buildJoinRankings()
 	return s
 }
 
@@ -128,54 +157,38 @@ func (s *Store) buildPredicateRanking() {
 }
 
 func (s *Store) buildEntityScores() {
-	n := s.K.NumEntities()
-	s.entScore = make([]float64, n)
-	if s.Metric == Custom {
-		minPos := math.Inf(1)
-		for i := 0; i < n; i++ {
+	s.entScore = make([]float64, s.K.NumEntities())
+	freq := func(i int) float64 { return float64(s.K.EntityFreq(kb.EntID(i + 1))) }
+	switch s.Metric {
+	case Pr:
+		copy(s.entScore, PageRank(s.K, 0.85, 30, 1e-9))
+	case Custom:
+		for i := range s.entScore {
 			if v := s.custom(kb.EntID(i + 1)); v > 0 {
 				s.entScore[i] = v
-				if v < minPos {
-					minPos = v
-				}
 			}
 		}
-		if math.IsInf(minPos, 1) {
-			minPos = 1
-		}
-		for i := 0; i < n; i++ {
-			if s.entScore[i] == 0 {
-				f := float64(s.K.EntityFreq(kb.EntID(i + 1)))
-				s.entScore[i] = minPos * f / (1e6 + f)
-			}
+	default:
+		for i := range s.entScore {
+			s.entScore[i] = freq(i)
 		}
 		return
 	}
-	if s.Metric == Pr {
-		pr := PageRank(s.K, 0.85, 30, 1e-9)
-		copy(s.entScore, pr)
-		// fr fallback where pr is undefined (literals never receive rank
-		// mass; give them a frequency-derived pseudo-score scaled below the
-		// smallest PageRank so they rank after all entities).
-		minPR := math.Inf(1)
-		for i, v := range pr {
-			if v > 0 && v < minPR {
-				minPR = v
-			}
-			_ = i
+	// fr fallback where the score is undefined (literals never receive
+	// PageRank mass): a frequency-derived pseudo-score scaled below the
+	// smallest defined score, so those entities rank after all others.
+	minPos := math.Inf(1)
+	for _, v := range s.entScore {
+		if v > 0 {
+			minPos = min(minPos, v)
 		}
-		if math.IsInf(minPR, 1) {
-			minPR = 1
-		}
-		for i := 0; i < n; i++ {
-			if s.entScore[i] == 0 {
-				f := float64(s.K.EntityFreq(kb.EntID(i + 1)))
-				s.entScore[i] = minPR * f / (1e6 + f)
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s.entScore[i] = float64(s.K.EntityFreq(kb.EntID(i + 1)))
+	}
+	if math.IsInf(minPos, 1) {
+		minPos = 1
+	}
+	for i, v := range s.entScore {
+		if v == 0 {
+			s.entScore[i] = minPos * freq(i) / (1e6 + freq(i))
 		}
 	}
 }
@@ -187,56 +200,54 @@ func (s *Store) EntityScore(e kb.EntID) float64 { return s.entScore[e-1] }
 func (s *Store) PredicateRank(p kb.PredID) int { return s.predRank[p-1] }
 
 // buildConditionalRankings ranks, for every predicate p, the objects of p by
-// prominence (conditional frequency under fr; entity score under pr), and
-// fits the Eq. 1 power law on (log2 score, log2 rank).
+// prominence (conditional frequency under fr; entity score under pr and
+// custom), and fits the Eq. 1 power law on (log2 score, log2 rank). Objects
+// are counted in a dense per-entity counter reset through the list of
+// objects it touched.
 func (s *Store) buildConditionalRankings() {
 	nP := s.K.NumPredicates()
-	s.condRank = make([]map[kb.EntID]int, nP)
+	s.cond.off = make([]int, 1, nP+1)
 	s.fits = make([]stats.Linear, nP)
 	s.fitOK = make([]bool, nP)
 
+	count := make([]uint32, s.K.NumEntities()+1)
+	var objs []kb.EntID
+	var score, xs, ys []float64
+	var order []int32
 	for pi := 0; pi < nP; pi++ {
-		p := kb.PredID(pi + 1)
-		facts := s.K.Facts(p)
-		// Distinct objects with conditional frequency.
-		freq := make(map[kb.EntID]int)
-		for _, pr := range facts {
-			freq[pr.O]++
-		}
-		objs := make([]kb.EntID, 0, len(freq))
-		for o := range freq {
-			objs = append(objs, o)
-		}
-		score := func(o kb.EntID) float64 {
-			if s.Metric != Fr {
-				return s.entScore[o-1]
+		objs = objs[:0]
+		for _, pr := range s.K.Facts(kb.PredID(pi + 1)) {
+			if count[pr.O] == 0 {
+				objs = append(objs, pr.O)
 			}
-			return float64(freq[o])
+			count[pr.O]++
 		}
-		sort.Slice(objs, func(i, j int) bool {
-			si, sj := score(objs[i]), score(objs[j])
-			if si != sj {
-				return si > sj
+		slices.Sort(objs)
+		score = score[:0]
+		for _, o := range objs {
+			if s.Metric == Fr {
+				score = append(score, float64(count[o]))
+			} else {
+				score = append(score, s.entScore[o-1])
 			}
-			return objs[i] < objs[j]
-		})
-		rank := make(map[kb.EntID]int, len(objs))
-		for i, o := range objs {
-			rank[o] = i + 1
+			count[o] = 0
 		}
-		s.condRank[pi] = rank
+		lo := len(s.cond.keys)
+		s.cond.keys = append(s.cond.keys, objs...)
+		s.cond.vals = slices.Grow(s.cond.vals, len(objs))[:len(s.cond.keys)]
+		s.cond.off = append(s.cond.off, len(s.cond.keys))
+		order = rankRow(score, s.cond.vals[lo:], order)
 
 		// Eq. 1 fit: log2(rank) against log2(conditional frequency); for pr
 		// the score replaces frequency, as the paper notes the power law
 		// extrapolates to the page rank.
-		var xs, ys []float64
-		for i, o := range objs {
-			sc := score(o)
-			if sc <= 0 {
+		xs, ys = xs[:0], ys[:0]
+		for r, i := range order {
+			if score[i] <= 0 {
 				continue
 			}
-			xs = append(xs, math.Log2(sc))
-			ys = append(ys, math.Log2(float64(i+1)))
+			xs = append(xs, math.Log2(score[i]))
+			ys = append(ys, math.Log2(float64(r+1)))
 		}
 		if fit, err := stats.FitLinear(xs, ys); err == nil {
 			s.fits[pi] = fit
@@ -248,12 +259,12 @@ func (s *Store) buildConditionalRankings() {
 // CondRank returns the exact 1-based rank of object o among the objects of
 // predicate p; ok is false when o never appears as object of p.
 func (s *Store) CondRank(p kb.PredID, o kb.EntID) (int, bool) {
-	r, ok := s.condRank[p-1][o]
-	return r, ok
+	r, ok := s.cond.get(int(p-1), o)
+	return int(r), ok
 }
 
 // CondDomainSize returns the number of distinct objects of p.
-func (s *Store) CondDomainSize(p kb.PredID) int { return len(s.condRank[p-1]) }
+func (s *Store) CondDomainSize(p kb.PredID) int { return s.cond.size(int(p - 1)) }
 
 // Fit returns the Eq. 1 coefficients for predicate p; ok is false when the
 // predicate had too few distinct object frequencies to fit.
@@ -301,136 +312,123 @@ func (s *Store) AverageFitR2(minPoints int) (avg float64, fitted int) {
 	return sum / float64(fitted), fitted
 }
 
-// buildJoinCounts accumulates, for every ordered predicate pair (p0,p1), the
-// number of p1 facts whose subject is an object of p0 (JoinSO) or a subject
-// of p0 (JoinSS). A single pass over the facts with per-entity predicate
-// lists keeps this near-linear in the KB size.
-func (s *Store) buildJoinCounts() {
-	k := s.K
-	nEnt := k.NumEntities()
-	// objPreds[e]: predicates having e as object; subjPreds[e]: as subject.
-	objPreds := make([][]kb.PredID, nEnt+1)
-	subjPreds := make([][]kb.PredID, nEnt+1)
+// buildJoinCounts computes, for every ordered predicate pair (p0, p1), the
+// join strength Ĉ ranks p1 by among the partners of p0; row p0-1 of the
+// result for each JoinKind lists the p1 with a nonzero count.
+//
+//   - JoinSO(p0, p1) = Σ over o of w(o, p0) · |{p1(o, ·)}|. Here w(o, p0) is
+//     the number of runs of o in the object column of Facts(p0): maximal
+//     blocks of consecutive facts sharing the object. Facts(p0) is sorted
+//     by (subject id, object id), so a run continues across a subject
+//     boundary only when o closes one subject's objects and opens the
+//     next's. w therefore lies between 1 and o's number of p0-subjects and
+//     depends on entity-id order; it is not the paper's once per distinct
+//     (o, p0).
+//   - JoinSS(p0, p1) = |{p1(s, ·) : p1 ≠ p0, s a subject of p0}|, each s
+//     counted once per p0.
+//
+// One flat per-entity list of (p1, facts of p1 with that subject) serves
+// both kinds: each Facts(p0) is walked once, adding the list of every run
+// start into a dense per-predicate counter.
+func buildJoinCounts(k *kb.KB) [2]rows[kb.PredID, int64] {
+	nEnt, nP := k.NumEntities(), k.NumPredicates()
+	type predRun struct {
+		p kb.PredID
+		n int64
+	}
+	// out[off[e]:off[e+1]]: e's subject runs, ascending by predicate.
+	off := make([]int, nEnt+2)
 	for _, p := range k.Predicates() {
-		var lastS, lastO kb.EntID
-		for _, pr := range k.Facts(p) {
-			if pr.S != lastS || len(subjPreds[pr.S]) == 0 || subjPreds[pr.S][len(subjPreds[pr.S])-1] != p {
-				subjPreds[pr.S] = append(subjPreds[pr.S], p)
-				lastS = pr.S
-			}
-			if pr.O != lastO || len(objPreds[pr.O]) == 0 || objPreds[pr.O][len(objPreds[pr.O])-1] != p {
-				objPreds[pr.O] = append(objPreds[pr.O], p)
-				lastO = pr.O
+		facts := k.Facts(p)
+		for i, pr := range facts {
+			if i == 0 || pr.S != facts[i-1].S {
+				off[pr.S+1]++
 			}
 		}
 	}
-	s.joinSO = make(map[uint64]int)
-	s.joinSS = make(map[uint64]int)
-	for _, p1 := range k.Predicates() {
-		for _, pr := range k.Facts(p1) {
-			for _, p0 := range objPreds[pr.S] {
-				s.joinSO[joinKey(p0, p1)]++
+	for e := 1; e <= nEnt+1; e++ {
+		off[e] += off[e-1]
+	}
+	out := make([]predRun, off[nEnt+1])
+	end := slices.Clone(off)
+	for _, p := range k.Predicates() {
+		facts := k.Facts(p)
+		for i, pr := range facts {
+			if i == 0 || pr.S != facts[i-1].S {
+				out[end[pr.S]] = predRun{p, 0}
+				end[pr.S]++
 			}
-			for _, p0 := range subjPreds[pr.S] {
-				if p0 != p1 {
-					s.joinSS[joinKey(p0, p1)]++
-				}
-			}
+			out[end[pr.S]-1].n++
 		}
 	}
-}
 
-func joinKey(p0, p1 kb.PredID) uint64 { return uint64(p0)<<32 | uint64(p1) }
-
-// JoinRank returns the 1-based rank of p1 among the predicates that join
-// with p0 under kind, plus the number of such join partners. Rankings are
-// computed lazily per p0 and cached.
-func (s *Store) JoinRank(kind JoinKind, p0, p1 kb.PredID) (rank, domain int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var cache map[kb.PredID]map[kb.PredID]int
-	var sizes map[kb.PredID]int
-	var counts map[uint64]int
-	if kind == JoinSO {
-		cache, sizes, counts = s.joinRankSO, s.joinSizeSO, s.joinSO
-	} else {
-		cache, sizes, counts = s.joinRankSS, s.joinSizeSS, s.joinSS
+	var res [2]rows[kb.PredID, int64]
+	var cnt [2][]int64
+	var touched [2][]kb.PredID
+	for kind := range res {
+		res[kind].off = make([]int, 1, nP+1)
+		cnt[kind] = make([]int64, nP+1)
 	}
-	rm, have := cache[p0]
-	if !have {
-		type pc struct {
-			p kb.PredID
-			c int
-		}
-		var partners []pc
-		for _, p := range s.K.Predicates() {
-			if c := counts[joinKey(p0, p)]; c > 0 {
-				partners = append(partners, pc{p, c})
-			}
-		}
-		sort.Slice(partners, func(i, j int) bool {
-			if partners[i].c != partners[j].c {
-				return partners[i].c > partners[j].c
-			}
-			return partners[i].p < partners[j].p
-		})
-		rm = make(map[kb.PredID]int, len(partners))
-		for i, x := range partners {
-			rm[x.p] = i + 1
-		}
-		cache[p0] = rm
-		sizes[p0] = len(partners)
-	}
-	r, ok := rm[p1]
-	return r, sizes[p0], ok
-}
-
-// EntityRankGlobal returns the 1-based ranks of every entity in the global
-// prominence ranking (used by the qualitative evaluation to pick prominent
-// entities). The ranking is computed once and cached.
-func (s *Store) EntityRankGlobal() []int {
-	s.globalOnce.Do(func() {
-		s.globalRank = stats.RankDescending(s.entScore)
-	})
-	return s.globalRank
-}
-
-// GlobalEntityRank returns the 1-based global prominence rank of e.
-func (s *Store) GlobalEntityRank(e kb.EntID) int {
-	return s.EntityRankGlobal()[e-1]
-}
-
-// TopEntities returns the n highest-scoring entities that satisfy keep
-// (nil keeps everything except literals).
-func (s *Store) TopEntities(n int, keep func(kb.EntID) bool) []kb.EntID {
-	type es struct {
-		e kb.EntID
-		v float64
-	}
-	all := make([]es, 0, len(s.entScore))
-	for i, v := range s.entScore {
-		e := kb.EntID(i + 1)
-		if keep == nil {
-			if s.K.Kind(e) == rdf.Literal {
+	add := func(kind JoinKind, p0 kb.PredID, e kb.EntID) {
+		for _, r := range out[off[e]:off[e+1]] {
+			if kind == JoinSS && r.p == p0 {
 				continue
 			}
-		} else if !keep(e) {
-			continue
+			if cnt[kind][r.p] == 0 {
+				touched[kind] = append(touched[kind], r.p)
+			}
+			cnt[kind][r.p] += r.n
 		}
-		all = append(all, es{e, v})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v > all[j].v
+	for _, p0 := range k.Predicates() {
+		facts := k.Facts(p0)
+		for i, pr := range facts {
+			if i == 0 || pr.S != facts[i-1].S {
+				add(JoinSS, p0, pr.S)
+			}
+			if i == 0 || pr.O != facts[i-1].O {
+				add(JoinSO, p0, pr.O)
+			}
 		}
-		return all[i].e < all[j].e
-	})
-	if n > len(all) {
-		n = len(all)
+		for kind := range res {
+			r := &res[kind]
+			slices.Sort(touched[kind])
+			for _, p1 := range touched[kind] {
+				r.keys = append(r.keys, p1)
+				r.vals = append(r.vals, cnt[kind][p1])
+				cnt[kind][p1] = 0
+			}
+			touched[kind] = touched[kind][:0]
+			r.off = append(r.off, len(r.keys))
+		}
 	}
-	out := make([]kb.EntID, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].e
+	return res
+}
+
+// buildJoinRankings ranks every p0's join partners by count, descending.
+func (s *Store) buildJoinRankings() {
+	var order []int32
+	for kind, c := range buildJoinCounts(s.K) {
+		ranks := make([]int32, len(c.keys))
+		for i := 0; i+1 < len(c.off); i++ {
+			lo, hi := c.off[i], c.off[i+1]
+			order = rankRow(c.vals[lo:hi], ranks[lo:hi], order)
+		}
+		s.join[kind] = rows[kb.PredID, int32]{c.off, c.keys, ranks}
 	}
-	return out
+}
+
+// JoinRank returns the 1-based rank of p1 among the predicates that join
+// with p0 under kind, plus the number of such join partners.
+func (s *Store) JoinRank(kind JoinKind, p0, p1 kb.PredID) (rank, domain int, ok bool) {
+	row := &s.join[kind]
+	r, ok := row.get(int(p0-1), p1)
+	return int(r), row.size(int(p0 - 1)), ok
+}
+
+// GlobalEntityRank returns the 1-based rank of e in the global prominence
+// ranking, which is computed on first use.
+func (s *Store) GlobalEntityRank(e kb.EntID) int {
+	s.globalOnce.Do(func() { s.globalRank = stats.RankDescending(s.entScore) })
+	return s.globalRank[e-1]
 }

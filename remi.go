@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"github.com/remi-kb/remi/internal/complexity"
 	"github.com/remi-kb/remi/internal/datagen"
@@ -58,6 +59,7 @@ const (
 type System struct {
 	kb         *kb.KB
 	promFr     *prominence.Store
+	prOnce     sync.Once // builds promPr and estPr on first use
 	promPr     *prominence.Store
 	promCustom *prominence.Store
 	estFr      *complexity.Estimator
@@ -167,12 +169,13 @@ func fromKB(k *kb.KB) *System {
 	}
 }
 
-// pr structures are built lazily (PageRank costs a pass over the graph).
+// prEstimator returns the pr estimator, building it on first use (PageRank
+// costs a pass over the graph). Concurrent first callers share one build.
 func (s *System) prEstimator() *complexity.Estimator {
-	if s.estPr == nil {
+	s.prOnce.Do(func() {
 		s.promPr = prominence.Build(s.kb, prominence.Pr)
 		s.estPr = complexity.New(s.kb, s.promPr, complexity.Compressed)
-	}
+	})
 	return s.estPr
 }
 

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -78,6 +79,45 @@ func TestMineOptions(t *testing.T) {
 		if alt.Expression == res.Expression {
 			t.Fatal("alternative duplicates the solution")
 		}
+	}
+}
+
+// TestConcurrentFirstPrMine fires the first MetricPr mines of a fresh System
+// at once: the lazily built pr store must be built once, and every caller
+// must get the answer a lone first mine gets. Run it under -race.
+func TestConcurrentFirstPrMine(t *testing.T) {
+	targets := []string{tinyNS + "Guyana", tinyNS + "Suriname"}
+	want, err := tinySystem(t).Mine(targets, WithMetric(MetricPr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := tinySystem(t)
+	const callers = 8
+	results := make([]*Result, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			results[i], errs[i] = sys.Mine(targets, WithMetric(MetricPr))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	store := sys.promPr
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if res.Found != want.Found || res.Expression != want.Expression || res.NL != want.NL || res.Bits != want.Bits {
+			t.Fatalf("caller %d mined %q (%v bits), lone first mine %q (%v bits)", i, res.Expression, res.Bits, want.Expression, want.Bits)
+		}
+	}
+	if sys.prEstimator(); sys.promPr != store {
+		t.Fatal("pr store rebuilt after the first build")
 	}
 }
 
