@@ -3,6 +3,7 @@ package remi
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -140,6 +141,39 @@ func TestWithProgress(t *testing.T) {
 		if progress[i].Bits >= progress[i-1].Bits {
 			t.Fatalf("incumbent did not improve monotonically: %v then %v bits",
 				progress[i-1].Bits, progress[i].Bits)
+		}
+	}
+}
+
+// TestWithProgressSetIndex: within MineBatch every progress event names
+// the set whose search produced it, and each set's last event is that
+// set's solution.
+func TestWithProgressSetIndex(t *testing.T) {
+	sys := tinySystem(t)
+	sets := [][]string{
+		{tinyNS + "Rennes", tinyNS + "Nantes"},
+		{tinyNS + "Paris"},
+	}
+	var mu sync.Mutex // sets run concurrently and share the callback
+	last := make(map[int]Progress)
+	br, err := sys.MineBatch(context.Background(), sets, WithBatchConcurrency(2),
+		WithProgress(func(p Progress) {
+			mu.Lock()
+			last[p.Set] = p
+			mu.Unlock()
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(last) != len(sets) {
+		t.Fatalf("progress reached sets %v, want all %d", last, len(sets))
+	}
+	for i, e := range br.Entries {
+		if e.Err != nil {
+			t.Fatalf("set %d: %v", i, e.Err)
+		}
+		if p := last[i]; p.Expression != e.Result.Expression || p.Bits != e.Result.Bits {
+			t.Fatalf("set %d: last progress %+v, solution %q (%v bits)", i, p, e.Result.Expression, e.Result.Bits)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command remi-bench regenerates the paper's tables and in-text findings on
-// the synthetic datasets (see DESIGN.md for the per-experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured values).
+// the synthetic datasets (see DESIGN.md for the per-experiment index; the
+// BENCH_*.json snapshots at the repository root record measured values).
 //
 // Usage:
 //

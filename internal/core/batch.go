@@ -188,7 +188,12 @@ func (m *Miner) MineBatchEach(ctx context.Context, sets [][]kb.EntID, concurrenc
 		m.Ev.EnableCoalescing()
 	}
 
-	bc := newBatchCache()
+	// A batch of one set has nothing to share: it runs exactly MineContext's
+	// queue build.
+	var bc *batchCache
+	if len(jobs) > 1 {
+		bc = newBatchCache()
+	}
 	var eachMu sync.Mutex // serializes each() across worker goroutines
 	run := func(j *job) {
 		res, err := func() (res *Result, err error) {
@@ -200,7 +205,7 @@ func (m *Miner) MineBatchEach(ctx context.Context, sets [][]kb.EntID, concurrenc
 					res, err = nil, fmt.Errorf("%w: %v", ErrMinePanic, p)
 				}
 			}()
-			return m.mineSet(ctx, j.tgt, bc)
+			return m.mineSet(ctx, j.slots[0], j.tgt, bc)
 		}()
 		eachMu.Lock()
 		for si, slot := range j.slots {

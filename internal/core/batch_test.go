@@ -129,7 +129,7 @@ func TestMineBatchSharesQueueWork(t *testing.T) {
 		if len(set) == 0 {
 			continue
 		}
-		if _, err := m.mineSet(context.Background(), normalizeTargets(set), bc); err != nil {
+		if _, err := m.mineSet(context.Background(), 0, normalizeTargets(set), bc); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -125,7 +125,7 @@ func TestProminentCutoffBlocksExpansion(t *testing.T) {
 
 	withCutoff := SubgraphsOf(k, tID, EnumerateOptions{
 		Language:  ExtendedLanguage,
-		Prominent: kb.EntSetFromMap(map[kb.EntID]bool{hub: true}, k.NumEntities()),
+		Prominent: kb.NewEntSet([]kb.EntID{hub}, k.NumEntities()),
 	})
 	for _, g := range withCutoff {
 		if g.Shape == expr.Path {

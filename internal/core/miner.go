@@ -151,19 +151,21 @@ type Solution struct {
 // bound is the set of best solutions found so far, shared by every
 // exploration thread in P-REMI ("the least complex solution e can be read
 // and written by all threads", Section 3.4). With k > 1 it keeps the k
-// cheapest distinct REs.
+// cheapest distinct REs. set is the batch slot of the search the bound
+// belongs to (0 outside MineBatch); trace events carry it.
 type bound struct {
 	mu   sync.Mutex
 	k    int
+	set  int
 	sols []Solution
 	keys map[string]bool
 }
 
-func newBound(k int) *bound {
+func newBound(k, set int) *bound {
 	if k < 1 {
 		k = 1
 	}
-	return &bound{k: k} // keys is made lazily on the first insert
+	return &bound{k: k, set: set} // keys is made lazily on the first insert
 }
 
 // Cost returns the pruning threshold: the cost of the k-th best solution,
@@ -559,7 +561,7 @@ func (m *Miner) MineContext(ctx context.Context, targets []kb.EntID) (*Result, e
 	if len(targets) == 0 {
 		return nil, ErrNoTargets
 	}
-	return m.mineSet(ctx, normalizeTargets(targets), nil)
+	return m.mineSet(ctx, 0, normalizeTargets(targets), nil)
 }
 
 // normalizeTargets sorts a copy of targets and collapses duplicates, the
@@ -578,8 +580,10 @@ func normalizeTargets(targets []kb.EntID) []kb.EntID {
 
 // mineSet runs one search over a normalized (sorted, duplicate-free,
 // non-empty) target set. Config.Timeout is applied here, per set, so each
-// set of a batch gets its own budget. bc is nil outside MineBatch.
-func (m *Miner) mineSet(ctx context.Context, tgt []kb.EntID, bc *batchCache) (*Result, error) {
+// set of a batch gets its own budget. set is the search's batch slot,
+// stamped on its trace events; bc is nil outside MineBatch and for a batch
+// of one set.
+func (m *Miner) mineSet(ctx context.Context, set int, tgt []kb.EntID, bc *batchCache) (*Result, error) {
 	if m.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, m.cfg.Timeout)
@@ -609,10 +613,11 @@ func (m *Miner) mineSet(ctx context.Context, tgt []kb.EntID, bc *batchCache) (*R
 	}
 
 	t1 := time.Now()
+	bnd := newBound(m.cfg.TopK, set)
 	if m.cfg.Workers > 1 {
-		m.mineParallel(ctx, queue, tgt, res)
+		m.mineParallel(ctx, queue, tgt, bnd, res)
 	} else {
-		m.mineSequential(ctx, queue, tgt, res)
+		m.mineSequential(ctx, queue, tgt, bnd, res)
 	}
 	res.Stats.Search = time.Since(t1)
 	_, hits1, misses1 := m.Ev.Stats()
@@ -715,8 +720,7 @@ func (m *Miner) solvableSuffixes(ctx context.Context, queue []scored, targets []
 
 // mineSequential is Algorithm 1: dequeue subgraph expressions in ascending
 // Ĉ order and explore the subtree rooted at each.
-func (m *Miner) mineSequential(ctx context.Context, queue []scored, targets []kb.EntID, res *Result) {
-	bnd := newBound(m.cfg.TopK)
+func (m *Miner) mineSequential(ctx context.Context, queue []scored, targets []kb.EntID, bnd *bound, res *Result) {
 	st := &res.Stats
 
 	canSolve, timedOut := m.solvableSuffixes(ctx, queue, targets)
@@ -778,14 +782,14 @@ func (m *Miner) dfsRemi(ctx context.Context, prefix expr.Expression, prefixCost 
 
 	st.Visited++
 	st.RETests++
-	m.trace(EventVisit, prefix, prefixCost)
+	m.trace(bnd, EventVisit, prefix, prefixCost)
 	// The RE test: bindings ⊇ T holds by construction (every queue element
 	// is common to the targets), so exactness reduces to a size check; with
 	// MaxExceptions > 0 up to that many extra entities are tolerated.
 	if bindings.Card() <= len(targets)+m.cfg.MaxExceptions {
-		m.trace(EventRE, prefix, prefixCost)
+		m.trace(bnd, EventRE, prefix, prefixCost)
 		if bnd.Offer(prefix, prefixCost) {
-			m.trace(EventNewBest, prefix, prefixCost)
+			m.trace(bnd, EventNewBest, prefix, prefixCost)
 		}
 		// Descendants only add cost: pruning by depth.
 		st.PrunedDepth++
@@ -820,7 +824,7 @@ outer:
 			// incumbent: cost pruning (the P-DFS-REMI backtracking rule).
 			st.PrunedCost += uint64(len(queue) - i)
 			if m.traceWants(EventPruneCost) {
-				m.trace(EventPruneCost, append(prefix.Clone(), queue[i].g), prefixCost+queue[i].cost)
+				m.trace(bnd, EventPruneCost, append(prefix.Clone(), queue[i].g), prefixCost+queue[i].cost)
 			}
 			break
 		}
@@ -837,7 +841,7 @@ outer:
 				// the unbatched scan would have stopped.
 				st.PrunedCost += uint64(len(queue) - idx)
 				if m.traceWants(EventPruneCost) {
-					m.trace(EventPruneCost, append(prefix.Clone(), queue[idx].g), childCost)
+					m.trace(bnd, EventPruneCost, append(prefix.Clone(), queue[idx].g), childCost)
 				}
 				break outer
 			}
@@ -866,7 +870,7 @@ outer:
 				// the cost bound applies there.
 				if c <= childCost && m.topK() == 1 {
 					st.PrunedSide += uint64(len(queue) - idx - 1)
-					m.trace(EventPruneSide, child, c)
+					m.trace(bnd, EventPruneSide, child, c)
 					break outer
 				}
 			}
@@ -925,12 +929,12 @@ func (m *Miner) dfsRemiLiteral(ctx context.Context, queue []scored, rho int, tar
 		push(queue[i])
 		st.Visited++
 		st.RETests++
-		m.trace(EventVisit, cur, curCost)
+		m.trace(bnd, EventVisit, cur, curCost)
 		if binds[len(binds)-1].Card() <= len(targets)+m.cfg.MaxExceptions {
 			found = true
-			m.trace(EventRE, cur, curCost)
+			m.trace(bnd, EventRE, cur, curCost)
 			if bnd.Offer(cur, curCost) {
-				m.trace(EventNewBest, cur, curCost)
+				m.trace(bnd, EventNewBest, cur, curCost)
 			}
 			pop() // pruning by depth
 			st.PrunedDepth++
@@ -959,9 +963,9 @@ func (m *Miner) traceWants(kind EventKind) bool {
 	return m.cfg.Trace != nil && m.cfg.TraceMask.Wants(kind)
 }
 
-func (m *Miner) trace(kind EventKind, e expr.Expression, cost float64) {
+func (m *Miner) trace(bnd *bound, kind EventKind, e expr.Expression, cost float64) {
 	if !m.traceWants(kind) {
 		return
 	}
-	m.cfg.Trace(Event{Kind: kind, Expression: e.Clone(), Cost: cost})
+	m.cfg.Trace(Event{Kind: kind, Set: bnd.set, Expression: e.Clone(), Cost: cost})
 }

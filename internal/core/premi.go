@@ -23,7 +23,7 @@ import (
 //  3. before testing an expression each thread checks the shared bound and
 //     backtracks past nodes that can no longer improve on it (implemented
 //     as the live cost pruning inside dfsRemi).
-func (m *Miner) mineParallel(ctx context.Context, queue []scored, targets []kb.EntID, res *Result) {
+func (m *Miner) mineParallel(ctx context.Context, queue []scored, targets []kb.EntID, bnd *bound, res *Result) {
 	workers := m.cfg.Workers
 	if workers > len(queue) && len(queue) > 0 {
 		workers = len(queue)
@@ -32,7 +32,6 @@ func (m *Miner) mineParallel(ctx context.Context, queue []scored, targets []kb.E
 		workers = 1
 	}
 
-	bnd := newBound(m.topK())
 	canSolve, timedOut := m.solvableSuffixes(ctx, queue, targets)
 	if timedOut {
 		res.Stats.TimedOut = true

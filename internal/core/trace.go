@@ -40,7 +40,10 @@ func (k EventKind) String() string {
 
 // Event is one step of the DFS exploration.
 type Event struct {
-	Kind       EventKind
+	Kind EventKind
+	// Set is the index of the target set whose search produced the event
+	// within a MineBatch call (0 for MineContext).
+	Set        int
 	Expression expr.Expression
 	Cost       float64
 }

@@ -65,13 +65,11 @@ type KB struct {
 	adjReady   atomic.Bool
 	deriveMu   sync.Mutex
 
-	// promMu guards the per-fraction memos of ProminentSet and its map
-	// adapter: every miner construction asks for the same top slice of the
-	// frequency ranking, and re-sorting all entities per request is pure
-	// waste.
-	promMu      sync.Mutex
-	promMemo    map[float64]*EntSet
-	promMapMemo map[float64]map[EntID]bool
+	// promMu guards the per-fraction memo of ProminentSet: every miner
+	// construction asks for the same top slice of the frequency ranking,
+	// and re-sorting all entities per request is pure waste.
+	promMu   sync.Mutex
+	promMemo map[float64]*EntSet
 
 	// src is the snapshot image this KB's index slices alias, when the KB
 	// was opened from one (nil for built KBs). The KB holds one reference;
@@ -284,27 +282,6 @@ func (k *KB) ProminentSet(frac float64) *EntSet {
 	}
 	k.promMemo[frac] = s
 	return s
-}
-
-// ProminentEntities is the legacy map view of ProminentSet, kept for API
-// compatibility. Results are memoized per fraction; callers must treat the
-// returned map as read-only.
-func (k *KB) ProminentEntities(frac float64) map[EntID]bool {
-	s := k.ProminentSet(frac)
-	if s == nil {
-		return map[EntID]bool{}
-	}
-	k.promMu.Lock()
-	defer k.promMu.Unlock()
-	if m, ok := k.promMapMemo[frac]; ok {
-		return m
-	}
-	m := s.Map()
-	if k.promMapMemo == nil {
-		k.promMapMemo = make(map[float64]map[EntID]bool)
-	}
-	k.promMapMemo[frac] = m
-	return m
 }
 
 // prominentIDs selects the top frac fraction of the entity-frequency

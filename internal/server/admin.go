@@ -100,12 +100,7 @@ func parseFactOps(in []FactOp) ([]delta.Op, error) {
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	s.cFacts.requests.Add(1)
 	var q FactsRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, &s.cFacts, status, err)
+	if !s.decodeBody(w, r, &s.cFacts, &q) {
 		return
 	}
 	e, err := s.kbFromRequest(r, q.KB)
@@ -171,12 +166,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.cCompile.requests.Add(1)
 	var q CompileRequest
 	if r.ContentLength != 0 {
-		if tooLarge, err := decodeBody(w, r, &q); err != nil {
-			status := http.StatusBadRequest
-			if tooLarge {
-				status = http.StatusRequestEntityTooLarge
-			}
-			s.writeError(w, &s.cCompile, status, err)
+		if !s.decodeBody(w, r, &s.cCompile, &q) {
 			return
 		}
 	}

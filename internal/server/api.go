@@ -31,6 +31,12 @@ type MineRequest struct {
 	Exceptions int `json:"exceptions,omitempty"`
 }
 
+// batch is the request as a plan of one set.
+func (q *MineRequest) batch() BatchMineRequest {
+	return BatchMineRequest{Sets: [][]string{q.Targets}, KB: q.KB, Metric: q.Metric, Language: q.Language,
+		Workers: q.Workers, TimeoutMS: q.TimeoutMS, TopK: q.TopK, Exceptions: q.Exceptions}
+}
+
 // normalize sorts and deduplicates the targets in place so that equal
 // queries share one dedup key regardless of target order.
 func (q *MineRequest) normalize() {
@@ -320,9 +326,10 @@ type JobsStats struct {
 	Queued        int `json:"queued"`
 	Running       int `json:"running"`
 	Tracked       int `json:"tracked"`
-	// Submitted counts pool submissions, External the jobs executed outside
-	// the pool (batch members), Joined the callers deduplicated onto an
-	// in-flight job, Rejected the submissions shed with 429.
+	// Submitted counts pool submissions (one mining phase per request with
+	// new sets), External the jobs executed outside the pool (one member
+	// per mined set), Joined the callers deduplicated onto an in-flight
+	// job, Rejected the submissions shed with 429.
 	Submitted int64 `json:"submitted"`
 	External  int64 `json:"external"`
 	Joined    int64 `json:"joined"`
@@ -434,15 +441,15 @@ type AsyncMineRequest struct {
 	Exceptions int        `json:"exceptions,omitempty"`
 }
 
-// single and batch convert the async body into the blocking request shapes.
-func (q *AsyncMineRequest) single() MineRequest {
-	return MineRequest{Targets: q.Targets, KB: q.KB, Metric: q.Metric, Language: q.Language,
+// batch converts the async body into the batch shape; single reports a
+// `targets` body, which is a batch of one set.
+func (q *AsyncMineRequest) batch() (bq BatchMineRequest, single bool) {
+	bq = BatchMineRequest{Sets: q.Sets, KB: q.KB, Metric: q.Metric, Language: q.Language,
 		Workers: q.Workers, TimeoutMS: q.TimeoutMS, TopK: q.TopK, Exceptions: q.Exceptions}
-}
-
-func (q *AsyncMineRequest) batch() BatchMineRequest {
-	return BatchMineRequest{Sets: q.Sets, KB: q.KB, Metric: q.Metric, Language: q.Language,
-		Workers: q.Workers, TimeoutMS: q.TimeoutMS, TopK: q.TopK, Exceptions: q.Exceptions}
+	if single = len(q.Targets) > 0; single {
+		bq.Sets = [][]string{q.Targets}
+	}
+	return bq, single
 }
 
 // JobResponse describes one job: the 202 body of /v1/mine:async, the poll
@@ -471,7 +478,7 @@ type JobResponse struct {
 // is one StreamEvent whose Event field holds one of these.
 const (
 	// streamProgress reports a new best expression found by a running
-	// single-set search (kind "new_best").
+	// search (kind "new_best"), on single-set streams and job streams.
 	streamProgress = "progress"
 	// streamEntry delivers one finished batch entry: Index addresses the
 	// input set, Response/Error/Status mirror BatchMineItem.

@@ -21,9 +21,10 @@ import (
 //	GET  /v1/jobs/{id}/stream  replay + follow a job's event log
 //	POST /v1/mine:stream   blocking submit, streamed response (NDJSON/SSE)
 //
-// Async and blocking requests share everything: the same validation, the
-// same flight keys (an async job joins a blocking run in flight and vice
-// versa), the same worker pool and admission control.
+// Async and blocking requests share everything: the same batch plan (a
+// `targets` body is a plan of one set), the same flight keys (an async job
+// joins a blocking run in flight and vice versa), the same worker pool and
+// admission control. Only the shape of the answer differs.
 
 // jobResponse renders one job as its wire document.
 func (s *Server) jobResponse(j *jobs.Job) *JobResponse {
@@ -50,8 +51,11 @@ func (s *Server) jobResponse(j *jobs.Job) *JobResponse {
 				out.Batch = br
 			}
 		default:
-			if res, ok := v.(*remi.Result); ok {
-				out.Result = wireResult(res, false, false)
+			switch v := v.(type) {
+			case *remi.Result:
+				out.Result = wireResult(v, false, false)
+			case *MineResponse:
+				out.Result = v
 			}
 		}
 	}
@@ -65,12 +69,7 @@ func (s *Server) jobResponse(j *jobs.Job) *JobResponse {
 // decodeAsync decodes and shape-checks a mine:async / mine:stream body.
 func (s *Server) decodeAsync(w http.ResponseWriter, r *http.Request, c *counter) (*AsyncMineRequest, bool) {
 	var q AsyncMineRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, c, status, err)
+	if !s.decodeBody(w, r, c, &q) {
 		return nil, false
 	}
 	if (len(q.Targets) == 0) == (len(q.Sets) == 0) {
@@ -87,45 +86,38 @@ func (s *Server) handleMineAsync(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if len(q.Sets) > 0 {
-		s.asyncBatch(w, r, q)
+	bq, single := q.batch()
+	if !s.admitMining(w, r, &s.cMineAsync, len(bq.Sets)) {
 		return
 	}
-	s.asyncSingle(w, r, q)
-}
-
-func (s *Server) asyncSingle(w http.ResponseWriter, r *http.Request, q *AsyncMineRequest) {
-	if !s.admitMining(w, r, &s.cMineAsync, 1) {
-		return
-	}
-	mq, status, err := s.prepareMine(r, q.single())
-	if err != nil {
-		s.writeError(w, &s.cMineAsync, status, err)
-		return
-	}
-	if res, ok := s.cachedResult(mq.key); ok {
+	p := s.buildBatchPlan(w, r, &s.cMineAsync, &bq, single)
+	switch {
+	case p == nil: // answered by buildBatchPlan
+	case !single:
+		s.asyncBatch(w, p)
+	case p.items[0].Response != nil:
 		// Uniform client workflow: a cache hit still yields a pollable job —
-		// born done, unkeyed (nothing is in flight to join).
+		// born done, unkeyed (nothing is in flight to join). Job documents
+		// do not flag cache hits.
 		j, _ := s.jobs.External(jobs.SubmitOpts{
-			Kind: jobKindMine, Meta: jobMeta{kb: mq.e.name, requestID: mq.reqID}, Retain: true, Detached: true,
+			Kind: jobKindMine, Meta: jobMeta{kb: p.e.name, requestID: p.reqID}, Retain: true, Detached: true,
 		})
-		j.Complete(res, nil)
+		res := *p.items[0].Response
+		res.Cached = false
+		j.Complete(&res, nil)
 		writeJSON(w, http.StatusAccepted, s.jobResponse(j))
-		return
-	}
-	j, _, err := s.submitMine(mq, true)
-	if err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineAsync, err)
+	default:
+		// The set's member job is the client's handle. This request's
+		// references drop right away — retention, not interest, keeps an
+		// async job alive.
+		p.retain = true
+		if s.submitPlan(w, &s.cMineAsync, p) != nil {
 			return
 		}
-		s.writeError(w, &s.cMineAsync, errStatus(err), err)
-		return
+		j := p.waits[0]
+		s.releaseBatch(p)
+		writeJSON(w, http.StatusAccepted, s.jobResponse(j))
 	}
-	// The submitter's reference is dropped right away — retention, not
-	// interest, keeps an async job alive.
-	s.jobs.Release(j)
-	writeJSON(w, http.StatusAccepted, s.jobResponse(j))
 }
 
 // batchKey derives the parent flight key of an async batch from its member
@@ -143,16 +135,7 @@ func batchKey(p *batchPlan) string {
 	return b.String()
 }
 
-func (s *Server) asyncBatch(w http.ResponseWriter, r *http.Request, q *AsyncMineRequest) {
-	if !s.admitMining(w, r, &s.cMineAsync, len(q.Sets)) {
-		return
-	}
-	bq := q.batch()
-	p, status, err := s.buildBatchPlan(r, &bq)
-	if err != nil {
-		s.writeError(w, &s.cMineAsync, status, err)
-		return
-	}
+func (s *Server) asyncBatch(w http.ResponseWriter, p *batchPlan) {
 	// The parent job is the client's handle: retained, completed by the
 	// coordinator with the assembled batch document. An identical async
 	// batch already in flight is joined instead of re-planned.
@@ -166,15 +149,10 @@ func (s *Server) asyncBatch(w http.ResponseWriter, r *http.Request, q *AsyncMine
 		writeJSON(w, http.StatusAccepted, s.jobResponse(parent))
 		return
 	}
-	if err := s.submitBatchJobs(p); err != nil {
+	if err := s.submitPlan(w, &s.cMineAsync, p); err != nil {
 		// Admission failed: finalize the parent so its flight key retires
 		// and nothing dangles (it ages out with the TTL).
 		parent.Complete(nil, err)
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineAsync, err)
-			return
-		}
-		s.writeError(w, &s.cMineAsync, errStatus(err), err)
 		return
 	}
 	go s.runBatchCoordinator(parent, p)
@@ -195,28 +173,37 @@ func entryEvent(i int, item BatchMineItem) StreamEvent {
 // the parent (DELETE /v1/jobs/{id}) abandons the members and, through
 // them, the mining phase.
 func (s *Server) runBatchCoordinator(parent *jobs.Job, p *batchPlan) {
-	ctx := parent.Context()
-	// Entries known before mining (validation failures, cache hits) stream
-	// first, then member completions in finish order.
+	if s.emitEntries(parent.Context(), p, func(ev StreamEvent) { parent.Emit(streamEntry, ev) }) != nil {
+		return // parent cancelled; Complete would be a no-op anyway
+	}
+	parent.Complete(&BatchMineResponse{KB: p.e.name, Results: p.items, Stats: p.agg}, nil)
+}
+
+// emitEntries delivers a batch plan's outcomes to emit as entry events:
+// entries known before mining (validation failures, cache hits) first,
+// then member completions in finish order, then the in-batch repeats once
+// their first occurrence is known. It returns ctx.Err() when ctx ended
+// before every member finished.
+func (s *Server) emitEntries(ctx context.Context, p *batchPlan, emit func(StreamEvent)) error {
 	for i := range p.items {
 		if p.items[i].Response != nil || p.items[i].Error != "" {
-			parent.Emit(streamEntry, entryEvent(i, p.items[i]))
+			emit(entryEvent(i, p.items[i]))
 		}
 	}
 	ctxErr := s.collectBatch(ctx, p, func(i int, item BatchMineItem) {
 		p.fill(i, item)
-		parent.Emit(streamEntry, entryEvent(i, item))
+		emit(entryEvent(i, item))
 	})
 	s.finishBatch(ctx, p)
 	if ctxErr != nil {
-		return // parent cancelled; Complete below would be a no-op anyway
+		return ctxErr
 	}
 	for i := range p.items {
 		if key := p.keyOf[i]; key != "" && p.firstOfKey[key] != i {
-			parent.Emit(streamEntry, entryEvent(i, p.items[i]))
+			emit(entryEvent(i, p.items[i]))
 		}
 	}
-	parent.Complete(&BatchMineResponse{KB: p.e.name, Results: p.items, Stats: p.agg}, nil)
+	return nil
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -271,86 +258,23 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	sw.send(StreamEvent{Event: streamDone, Job: s.jobResponse(j)})
 }
 
+// handleMineStream is the streaming twin of the blocking endpoints. A batch
+// streams one entry event per input set as each finishes, then a done
+// event with the aggregate stats. A single streams its set's progress
+// events while the search runs, then the result. After the first event
+// errors travel in-band: the 200 is already on the wire.
 func (s *Server) handleMineStream(w http.ResponseWriter, r *http.Request) {
 	s.cMineStream.requests.Add(1)
 	q, ok := s.decodeAsync(w, r, &s.cMineStream)
 	if !ok {
 		return
 	}
-	if len(q.Sets) > 0 {
-		s.streamBatch(w, r, q)
+	bq, single := q.batch()
+	if !s.admitMining(w, r, &s.cMineStream, len(bq.Sets)) {
 		return
 	}
-	s.streamSingle(w, r, q)
-}
-
-// streamSingle is the streaming twin of handleMine: progress events while
-// the search runs, then the result (or an in-band error — the 200 status
-// is already on the wire once streaming starts).
-func (s *Server) streamSingle(w http.ResponseWriter, r *http.Request, q *AsyncMineRequest) {
-	if !s.admitMining(w, r, &s.cMineStream, 1) {
-		return
-	}
-	mq, status, err := s.prepareMine(r, q.single())
-	if err != nil {
-		s.writeError(w, &s.cMineStream, status, err)
-		return
-	}
-	if res, ok := s.cachedResult(mq.key); ok {
-		if sw, ok := s.newStream(w, r, &s.cMineStream); ok {
-			sw.send(StreamEvent{Event: streamResult, Response: wireResult(res, false, true)})
-		}
-		return
-	}
-	j, joined, err := s.submitMine(mq, false)
-	if err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineStream, err)
-			return
-		}
-		s.writeError(w, &s.cMineStream, errStatus(err), err)
-		return
-	}
-	if joined {
-		s.dedupedHits.Add(1)
-	}
-	sw, ok := s.newStream(w, r, &s.cMineStream)
-	if !ok {
-		s.jobs.Release(j)
-		return
-	}
-	if !s.followEvents(r.Context(), j, sw) {
-		s.jobs.Release(j)
-		return
-	}
-	// Finished: Wait returns immediately and drops our reference.
-	v, err := s.jobs.Wait(r.Context(), j)
-	if err != nil {
-		sw.send(StreamEvent{Event: streamError, Error: err.Error(), Status: errStatus(err)})
-		return
-	}
-	sw.send(StreamEvent{Event: streamResult, Response: wireResult(v.(*remi.Result), joined, false)})
-}
-
-// streamBatch is the streaming twin of handleMineBatch: one entry event per
-// input set, emitted as each set finishes, then a done event with the
-// aggregate stats.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, q *AsyncMineRequest) {
-	if !s.admitMining(w, r, &s.cMineStream, len(q.Sets)) {
-		return
-	}
-	bq := q.batch()
-	p, status, err := s.buildBatchPlan(r, &bq)
-	if err != nil {
-		s.writeError(w, &s.cMineStream, status, err)
-		return
-	}
-	if err := s.submitBatchJobs(p); err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineStream, err)
-			return
-		}
-		s.writeError(w, &s.cMineStream, errStatus(err), err)
+	p := s.buildBatchPlan(w, r, &s.cMineStream, &bq, single)
+	if p == nil || s.submitPlan(w, &s.cMineStream, p) != nil {
 		return
 	}
 	sw, ok := s.newStream(w, r, &s.cMineStream)
@@ -358,25 +282,26 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, q *AsyncMin
 		s.releaseBatch(p)
 		return
 	}
-	for i := range p.items {
-		if p.items[i].Response != nil || p.items[i].Error != "" {
-			sw.send(entryEvent(i, p.items[i]))
+	ctx := r.Context()
+	if !single {
+		if s.emitEntries(ctx, p, func(ev StreamEvent) { sw.send(ev) }) == nil {
+			sw.send(StreamEvent{Event: streamDone, KB: p.e.name, Stats: &p.agg})
 		}
-	}
-	ctxErr := s.collectBatch(r.Context(), p, func(i int, item BatchMineItem) {
-		p.fill(i, item)
-		sw.send(entryEvent(i, item))
-	})
-	s.finishBatch(r.Context(), p)
-	if ctxErr != nil {
 		return
 	}
-	for i := range p.items {
-		if key := p.keyOf[i]; key != "" && p.firstOfKey[key] != i {
-			sw.send(entryEvent(i, p.items[i]))
-		}
+	if j := p.waits[0]; j != nil && !s.followEvents(ctx, j, sw) {
+		s.releaseBatch(p)
+		return
 	}
-	sw.send(StreamEvent{Event: streamDone, KB: p.e.name, Stats: &p.agg})
+	ctxErr := s.collectBatch(ctx, p, p.fill)
+	s.finishBatch(ctx, p)
+	switch item := p.items[0]; {
+	case ctxErr != nil: // the client went away: nobody is reading
+	case item.Response == nil:
+		sw.send(StreamEvent{Event: streamError, Error: item.Error, Status: item.Status})
+	default:
+		sw.send(StreamEvent{Event: streamResult, Response: item.Response})
+	}
 }
 
 // followEvents replays the job's event log onto the stream and follows it

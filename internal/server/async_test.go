@@ -109,21 +109,22 @@ func TestBatchJoinsSingleFlight(t *testing.T) {
 	releaseBatch := make(chan struct{})
 	var mineCalls, batchCalls atomic.Int32
 	realMine := s.sys().MineContext
-	realBatch := s.sys().MineBatchEach
-	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
-		mineCalls.Add(1)
-		<-releaseMine
+	// Direction 1 mines targetsA for the single request, direction 2 mines
+	// targetsB for the batch: each run counts against its owner.
+	targetsA := []string{tinyNS + "Rennes", tinyNS + "Nantes"}
+	mineEach(s, func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+		if len(targets) == len(targetsA) {
+			mineCalls.Add(1)
+			<-releaseMine
+		} else {
+			batchCalls.Add(1)
+			<-releaseBatch
+		}
 		return realMine(ctx, targets, opts...)
-	}
-	s.mineBatchEach = func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
-		batchCalls.Add(1)
-		<-releaseBatch
-		return realBatch(ctx, sets, each, opts...)
-	}
+	})
 	h := s.Handler()
 
 	// Direction 1: the single request runs, the batch entry joins it.
-	targetsA := []string{tinyNS + "Rennes", tinyNS + "Nantes"}
 	keyA := flightKeyOf(t, s, MineRequest{Targets: targetsA})
 	var singleA, batchA *httptest.ResponseRecorder
 	var wg sync.WaitGroup
@@ -375,6 +376,69 @@ func TestMineStreamSingleGolden(t *testing.T) {
 	sameMineOutcome(t, "sse result", sseEvs[len(sseEvs)-1].Response, &blocking)
 }
 
+// TestMineStreamJoinsBatchMember: a single stream that joins a batch
+// member already in flight follows that member's progress events and ends
+// with the golden result, flagged as deduplicated.
+func TestMineStreamJoinsBatchMember(t *testing.T) {
+	targets := []string{tinyNS + "Rennes", tinyNS + "Nantes"}
+	golden := decode[MineResponse](t, postJSON(t, tinyServer(t, Options{DefaultTimeout: 10 * time.Second}).Handler(),
+		"/v1/mine", MineRequest{Targets: targets}))
+
+	s := tinyServer(t, Options{DefaultTimeout: 10 * time.Second, ResultCache: -1})
+	release := make(chan struct{})
+	realBatch := s.sys().MineBatchEach
+	s.mineBatchEach = func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
+		<-release
+		return realBatch(ctx, sets, each, opts...)
+	}
+	h := s.Handler()
+	key := flightKeyOf(t, s, MineRequest{Targets: targets})
+	var batchRec, streamRec *httptest.ResponseRecorder
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		batchRec = postJSON(t, h, "/v1/mine:batch", BatchMineRequest{Sets: [][]string{targets}})
+	}()
+	waitFor(t, func() bool {
+		j, ok := s.jobs.Lookup(key)
+		return ok && j.Refs() == 1
+	})
+	go func() {
+		defer wg.Done()
+		streamRec = postJSON(t, h, "/v1/mine:stream", AsyncMineRequest{Targets: targets})
+	}()
+	waitFor(t, func() bool {
+		j, ok := s.jobs.Lookup(key)
+		return ok && j.Refs() == 2
+	})
+	close(release)
+	wg.Wait()
+
+	evs := parseNDJSON(t, streamRec)
+	last := evs[len(evs)-1]
+	if last.Event != streamResult || last.Response == nil {
+		t.Fatalf("last event %+v, want a result", last)
+	}
+	if !last.Response.Deduplicated {
+		t.Fatal("stream did not join the in-flight batch member")
+	}
+	progress := 0
+	for _, ev := range evs[:len(evs)-1] {
+		if ev.Event != streamProgress || ev.Kind != "new_best" || ev.Expression == "" {
+			t.Fatalf("unexpected event before the result: %+v", ev)
+		}
+		progress++
+	}
+	if progress == 0 {
+		t.Fatal("joined stream received no progress events")
+	}
+	sameMineOutcome(t, "joined stream", last.Response, &golden)
+	if br := decode[BatchMineResponse](t, batchRec); br.Stats.Mined != 1 {
+		t.Fatalf("owning batch stats %+v, want 1 mined", br.Stats)
+	}
+}
+
 // TestMineStreamBatchGolden: the batch stream emits one entry event per
 // input set — each index exactly once — carrying the same answers as the
 // blocking batch endpoint, then a done event with matching aggregates.
@@ -422,13 +486,13 @@ func TestMineSaturationShedsLoad(t *testing.T) {
 	s := tinyServer(t, Options{JobWorkers: 1, JobQueueDepth: 1, ResultCache: -1})
 	release := make(chan struct{})
 	real := s.sys().MineContext
-	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+	mineEach(s, func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
 		return real(ctx, targets, opts...)
-	}
+	})
 	h := s.Handler()
 
 	var wg sync.WaitGroup
@@ -484,13 +548,13 @@ func TestJobCancelLifecycle(t *testing.T) {
 	s := tinyServer(t, Options{JobWorkers: 1, ResultCache: -1})
 	release := make(chan struct{})
 	real := s.sys().MineContext
-	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+	mineEach(s, func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
 		return real(ctx, targets, opts...)
-	}
+	})
 	h := s.Handler()
 
 	submit := func(target string) string {
@@ -600,13 +664,13 @@ func TestJobStreamClientGone(t *testing.T) {
 	s := tinyServer(t, Options{ResultCache: -1})
 	release := make(chan struct{})
 	real := s.sys().MineContext
-	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+	mineEach(s, func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
 		return real(ctx, targets, opts...)
-	}
+	})
 	h := s.Handler()
 	rec := postJSON(t, h, "/v1/mine:async", AsyncMineRequest{Targets: []string{tinyNS + "Rennes"}})
 	if rec.Code != http.StatusAccepted {
@@ -684,13 +748,13 @@ func TestBatchSaturationReleasesPlan(t *testing.T) {
 	}
 	release := make(chan struct{})
 	real := s.sys().MineContext
-	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+	mineEach(s, func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
 		return real(ctx, targets, opts...)
-	}
+	})
 	h := s.Handler()
 
 	var wg sync.WaitGroup

@@ -17,16 +17,23 @@ import (
 // delivering them (phase failure, cancellation, panic).
 var errBatchAborted = errors.New("batch mining phase aborted")
 
-// batchPlan is one validated mine:batch request decomposed into per-set
+// batchPlan is one validated mining request decomposed into per-set
 // outcomes: validation failures and cache hits are answered in place,
 // repeats collapse onto their first occurrence, and the remainder becomes
 // member jobs in the unified registry — joinable by (and joining) every
-// other mining path — mined together by one pool-executed phase job.
+// other mining request — mined together by one pool-executed phase job. A
+// single-set request (`targets`) is a plan of one set.
 type batchPlan struct {
 	e      *kbEntry
 	shared MineRequest
 	opts   []remi.MineOption
 	reqID  string
+	// single marks a `targets` request: it is answered in the /v1/mine
+	// shape and mined at interactive priority.
+	single bool
+	// retain keeps the members pollable past their waiters (an async
+	// single's member is the client's job handle).
+	retain bool
 
 	items      []BatchMineItem
 	agg        BatchMineStats
@@ -59,19 +66,24 @@ func (p *batchPlan) fill(i int, item BatchMineItem) {
 
 // buildBatchPlan validates the request and runs pass 1: normalize each set,
 // collapse in-batch repeats onto the first occurrence of their key, serve
-// cache hits, and collect the sets that actually need mining. On error the
-// returned status is the HTTP code to answer with.
-func (s *Server) buildBatchPlan(r *http.Request, q *BatchMineRequest) (*batchPlan, int, error) {
+// cache hits, and collect the sets that actually need mining. A single's
+// one set failing validation fails the request, as /v1/mine always has. On
+// failure the request is answered here and the plan is nil.
+func (s *Server) buildBatchPlan(w http.ResponseWriter, r *http.Request, c *counter, q *BatchMineRequest, single bool) *batchPlan {
+	fail := func(status int, err error) *batchPlan {
+		s.writeError(w, c, status, err)
+		return nil
+	}
 	e, err := s.kbFromRequest(r, q.KB)
 	if err != nil {
-		return nil, errStatus(err), err
+		return fail(errStatus(err), err)
 	}
 	if len(q.Sets) == 0 {
-		return nil, http.StatusBadRequest, errors.New("sets is required")
+		return fail(http.StatusBadRequest, errors.New("sets is required"))
 	}
 	if len(q.Sets) > s.opts.MaxBatchSets {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("%d sets exceed the batch limit of %d", len(q.Sets), s.opts.MaxBatchSets)
+		return fail(http.StatusBadRequest,
+			fmt.Errorf("%d sets exceed the batch limit of %d", len(q.Sets), s.opts.MaxBatchSets))
 	}
 	// Validate and canonicalize the shared options once; the canonical
 	// fields then feed every per-set dedup/cache key.
@@ -86,13 +98,14 @@ func (s *Server) buildBatchPlan(r *http.Request, q *BatchMineRequest) (*batchPla
 	}
 	opts, err := s.mineOptions(&shared)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return fail(http.StatusBadRequest, err)
 	}
 	p := &batchPlan{
 		e:          e,
 		shared:     shared,
 		opts:       opts,
 		reqID:      requestIDOf(r),
+		single:     single,
 		items:      make([]BatchMineItem, len(q.Sets)),
 		agg:        BatchMineStats{Sets: len(q.Sets)},
 		keyOf:      make([]string, len(q.Sets)),
@@ -128,16 +141,18 @@ func (s *Server) buildBatchPlan(r *http.Request, q *BatchMineRequest) (*batchPla
 		p.runIdx = append(p.runIdx, i)
 		p.runSets = append(p.runSets, qi.Targets)
 	}
-	return p, 0, nil
+	if item := p.items[0]; single && item.Error != "" {
+		return fail(item.Status, errors.New(item.Error))
+	}
+	return p
 }
 
 // submitBatchJobs registers the plan's runnable sets in the unified
-// registry: each becomes an externally-executed member job under the same
-// flight key single /v1/mine requests use — so a batch entry joins a mine
-// already in flight, and a later single request joins a batch entry — and
-// the genuinely new members are mined by one pool-executed phase job they
-// are bound to. On error nothing is left running and every planned member
-// reference is released.
+// registry: each becomes an externally-executed member job under its
+// flight key — so a set joins identical work in flight for any other
+// request — and the genuinely new members are mined by one pool-executed
+// phase job they are bound to. On error nothing is left running and every
+// planned member reference is released.
 func (s *Server) submitBatchJobs(p *batchPlan) error {
 	var newIdx []int
 	var newSets [][]string
@@ -152,6 +167,7 @@ func (s *Server) submitBatchJobs(p *batchPlan) error {
 			Key:      p.keyOf[i],
 			Kind:     jobKindMine,
 			Meta:     jobMeta{kb: p.e.name, requestID: p.reqID},
+			Retain:   p.retain,
 			Deadline: phaseDeadline,
 		})
 		p.waits[i] = j
@@ -167,11 +183,15 @@ func (s *Server) submitBatchJobs(p *batchPlan) error {
 	if len(members) == 0 {
 		return nil
 	}
+	priority := jobs.PriorityBatch
+	if p.single {
+		priority = jobs.PriorityInteractive
+	}
 	phase, _, err := s.jobs.Submit(jobs.SubmitOpts{
 		Kind:     jobKindBatchPhase,
 		Meta:     jobMeta{kb: p.e.name, requestID: p.reqID},
 		Run:      s.batchPhaseRun(p, newIdx, newSets, members),
-		Priority: jobs.PriorityBatch,
+		Priority: priority,
 		Deadline: phaseDeadline,
 	})
 	if err != nil {
@@ -186,6 +206,21 @@ func (s *Server) submitBatchJobs(p *batchPlan) error {
 	}
 	p.phase = phase
 	return nil
+}
+
+// submitPlan is submitBatchJobs for a handler: a refused submission is
+// answered here (429 with Retry-After when the pool is saturated) and its
+// error returned.
+func (s *Server) submitPlan(w http.ResponseWriter, c *counter, p *batchPlan) error {
+	err := s.submitBatchJobs(p)
+	switch {
+	case err == nil:
+	case errors.Is(err, jobs.ErrSaturated):
+		s.shedLoad(w, c, err)
+	default:
+		s.writeError(w, c, errStatus(err), err)
+	}
+	return err
 }
 
 // releaseBatch drops the plan's job references without waiting (error paths
@@ -203,20 +238,30 @@ func (s *Server) releaseBatch(p *batchPlan) {
 
 // batchPhaseRun mines the plan's new member sets in one facade pass —
 // keeping the queue-prep and evaluator-cache sharing MineBatchEach provides
-// — and completes each member as its set finishes, so waiters (this batch's
-// collector, joined single requests, other batches) unblock per set rather
-// than per batch.
+// — and completes each member as its set finishes, so waiters (this
+// request, joined requests, other batches) unblock per set rather than per
+// batch. Each set's progress events go to its member's event log for
+// streaming subscribers.
 func (s *Server) batchPhaseRun(p *batchPlan, idx []int, sets [][]string, members []*jobs.Job) jobs.RunFunc {
 	return func(ctx context.Context, phase *jobs.Job) (any, error) {
 		defer func() {
-			// Whatever ends this run — error, cancellation, panic — no member
-			// may dangle unfinished. Complete is a no-op on delivered ones.
+			// Whatever ends this run — error, cancellation, panic, watchdog —
+			// no member may dangle unfinished, and each learns the cause.
+			// Complete is a no-op on delivered ones.
+			rec := recover()
 			cause := errBatchAborted
-			if err := ctx.Err(); err != nil {
+			if _, err, done := phase.Result(); done && err != nil {
+				cause = err
+			} else if rec != nil {
+				cause = fmt.Errorf("%w: %v", jobs.ErrPanicked, rec)
+			} else if err := ctx.Err(); err != nil {
 				cause = fmt.Errorf("%w: %v", errBatchAborted, err)
 			}
 			for _, m := range members {
 				m.Complete(nil, cause)
+			}
+			if rec != nil {
+				panic(rec) // the registry fails the phase and logs the stack
 			}
 		}()
 		// Chaos hooks after the containment defer: an injected panic or wedge
@@ -227,7 +272,12 @@ func (s *Server) batchPhaseRun(p *batchPlan, idx []int, sets [][]string, members
 		if err := faults.Fire(ctx, faults.MinePanic); err != nil {
 			return nil, err
 		}
-		bopts := append(p.opts[:len(p.opts):len(p.opts)], remi.WithBatchConcurrency(s.opts.BatchWorkers))
+		bopts := append(p.opts[:len(p.opts):len(p.opts)],
+			remi.WithBatchConcurrency(s.opts.BatchWorkers),
+			remi.WithProgress(func(pr remi.Progress) {
+				members[pr.Set].Emit(streamProgress, StreamEvent{Event: streamProgress,
+					Kind: pr.Kind, Expression: pr.Expression, Bits: pr.Bits})
+			}))
 		br, err := s.mineBatchEachContext(p.e, ctx, sets, func(bi int, entry remi.BatchEntry) {
 			m := members[bi]
 			if entry.Err != nil {
@@ -235,8 +285,9 @@ func (s *Server) batchPhaseRun(p *batchPlan, idx []int, sets [][]string, members
 				return
 			}
 			res := entry.Result
-			s.mineRuns.Add(1)
-			s.recordRun(res, false)
+			// Only complete searches are worth remembering: a timed-out run
+			// holds whatever the deadline allowed, and a retry with more
+			// budget deserves a fresh search.
 			if s.results != nil && !res.Stats.TimedOut {
 				s.results.Put(p.keyOf[idx[bi]], res)
 			}
@@ -245,10 +296,7 @@ func (s *Server) batchPhaseRun(p *batchPlan, idx []int, sets [][]string, members
 		if err != nil {
 			return nil, err
 		}
-		// Cache traffic is folded once from the exact whole-batch totals
-		// (per-entry counters can attribute a concurrent neighbor's lookups
-		// and would overcount).
-		s.recordBatchCache(br.CacheHits, br.CacheMisses)
+		s.recordPhase(br)
 		return br, nil
 	}
 }
@@ -259,6 +307,27 @@ func (s *Server) batchPhaseRun(p *batchPlan, idx []int, sets [][]string, members
 // dropped either way, so undelivered runs are abandoned per the registry's
 // interest rules.
 func (s *Server) collectBatch(ctx context.Context, p *batchPlan, deliver func(i int, item BatchMineItem)) error {
+	wait := func(i int, j *jobs.Job) BatchMineItem {
+		v, err := s.jobs.Wait(ctx, j)
+		if err != nil {
+			return BatchMineItem{Error: err.Error(), Status: errStatus(err)}
+		}
+		return BatchMineItem{Response: wireResult(v.(*remi.Result), p.joined[i], false)}
+	}
+	switch len(p.waits) {
+	case 0: // every set answered in the plan (e.g. a cache hit)
+		return ctx.Err()
+	case 1:
+		// One member has no completion order to keep: wait on the caller's
+		// goroutine. Spawned waiters here measurably cut the hit rate of
+		// the core's per-P queue-buffer pool on single-set requests.
+		for i, j := range p.waits {
+			if item := wait(i, j); ctx.Err() == nil {
+				deliver(i, item)
+			}
+		}
+		return ctx.Err()
+	}
 	type outcome struct {
 		i    int
 		item BatchMineItem
@@ -269,15 +338,8 @@ func (s *Server) collectBatch(ctx context.Context, p *batchPlan, deliver func(i 
 		wg.Add(1)
 		go func(i int, j *jobs.Job) {
 			defer wg.Done()
-			v, err := s.jobs.Wait(ctx, j)
-			var item BatchMineItem
-			if err != nil {
-				item = BatchMineItem{Error: err.Error(), Status: errStatus(err)}
-			} else {
-				item = BatchMineItem{Response: wireResult(v.(*remi.Result), p.joined[i], false)}
-			}
 			select {
-			case ch <- outcome{i, item}:
+			case ch <- outcome{i, wait(i, j)}:
 			case <-ctx.Done():
 			}
 		}(i, j)
@@ -322,47 +384,51 @@ func (s *Server) finishBatch(ctx context.Context, p *batchPlan) {
 	}
 }
 
+// handleMine is POST /v1/mine: one target set, answered as one result.
+func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
+	s.cMine.requests.Add(1)
+	var q MineRequest
+	if s.decodeBody(w, r, &s.cMine, &q) {
+		s.mineBlocking(w, r, &s.cMine, q.batch(), true)
+	}
+}
+
 // handleMineBatch is POST /v1/mine:batch: many target sets, one KB, one
 // shared mining pass, one JSON document with one entry per input set,
 // order-preserving. Per-set failures (empty set, oversized set, unknown
-// entity) occupy their own entry and never fail the batch. Each runnable
-// set is a member job in the unified registry, so identical work in flight
-// anywhere — a single mine, another batch, an async job — is joined rather
-// than repeated; the new sets share one mining phase on the worker pool.
+// entity) occupy their own entry and never fail the batch.
 func (s *Server) handleMineBatch(w http.ResponseWriter, r *http.Request) {
 	s.cMineBatch.requests.Add(1)
 	var q BatchMineRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, &s.cMineBatch, status, err)
+	if s.decodeBody(w, r, &s.cMineBatch, &q) {
+		s.mineBlocking(w, r, &s.cMineBatch, q, false)
+	}
+}
+
+// mineBlocking serves a blocking mining request. Each runnable set is a
+// member job in the unified registry, so identical work in flight anywhere
+// — a single mine, another batch, an async job — is joined rather than
+// repeated; the new sets share one mining phase on the worker pool.
+func (s *Server) mineBlocking(w http.ResponseWriter, r *http.Request, c *counter, q BatchMineRequest, single bool) {
+	if !s.admitMining(w, r, c, len(q.Sets)) {
 		return
 	}
-	if !s.admitMining(w, r, &s.cMineBatch, len(q.Sets)) {
-		return
-	}
-	p, status, err := s.buildBatchPlan(r, &q)
-	if err != nil {
-		s.writeError(w, &s.cMineBatch, status, err)
-		return
-	}
-	if err := s.submitBatchJobs(p); err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMineBatch, err)
-			return
-		}
-		s.writeError(w, &s.cMineBatch, errStatus(err), err)
+	p := s.buildBatchPlan(w, r, c, &q, single)
+	if p == nil || s.submitPlan(w, c, p) != nil {
 		return
 	}
 	ctxErr := s.collectBatch(r.Context(), p, p.fill)
 	s.finishBatch(r.Context(), p)
-	if ctxErr != nil {
-		// The client went away (or its deadline passed) mid-batch: the
-		// per-set results are partial at best, and nobody is reading.
-		s.writeError(w, &s.cMineBatch, errStatus(ctxErr), ctxErr)
-		return
+	switch {
+	case ctxErr != nil:
+		// The client went away (or its deadline passed) mid-run: the
+		// results are partial at best, and nobody is reading.
+		s.writeError(w, c, errStatus(ctxErr), ctxErr)
+	case !single:
+		writeJSON(w, http.StatusOK, BatchMineResponse{KB: p.e.name, Results: p.items, Stats: p.agg})
+	case p.items[0].Response == nil:
+		s.writeError(w, c, p.items[0].Status, errors.New(p.items[0].Error))
+	default:
+		writeJSON(w, http.StatusOK, p.items[0].Response)
 	}
-	writeJSON(w, http.StatusOK, BatchMineResponse{KB: p.e.name, Results: p.items, Stats: p.agg})
 }

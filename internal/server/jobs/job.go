@@ -29,7 +29,8 @@ type Job struct {
 	external bool
 	wdKilled bool // watchdog failed this job and freed its worker slot
 	refs     int
-	parent   *Job // phase job pinned while this member is unfinished
+	parent   *Job   // phase job pinned while this member is unfinished
+	pending  []*Job // members bound while this phase is queued
 	result   any
 	err      error
 	created  time.Time

@@ -1,6 +1,6 @@
 // Package jobs is the unified execution subsystem of the REMI service:
-// every mining run — blocking single mine, batch entry, async job,
-// streaming request — becomes a Job in one Registry, so all of them share
+// every mined target set — whether a blocking, batch, async or streaming
+// request asked for it — becomes a Job in one Registry, so all of them share
 // a single flight-key namespace (identical concurrent queries collapse
 // onto one evaluator pass no matter which endpoint submitted them), one
 // bounded worker pool with admission control and load-shedding, and one
@@ -25,7 +25,9 @@
 // server's old flightGroup provided, now shared by every mining path.
 // Bind adds a structural reference: an unfinished batch member pins the
 // phase job mining it, so the phase's context is cancelled only when every
-// member has been completed, cancelled or abandoned.
+// member has been completed, cancelled or abandoned. A member bound to a
+// queued phase reports the phase's lifecycle: queued until the phase
+// starts, then running (and watched by the watchdog) from that moment.
 //
 // Pool-executed RunFuncs must never wait on other jobs: with a saturated
 // pool, a running job waiting on a queued one deadlocks. Waiting belongs
@@ -449,6 +451,11 @@ func (r *Registry) Bind(member, parent *Job) {
 	}
 	member.parent = parent
 	parent.refs++
+	if parent.state == StateQueued {
+		member.state = StateQueued
+		member.started = time.Time{}
+		parent.pending = append(parent.pending, member)
+	}
 }
 
 // Wait blocks until j finishes or ctx ends, then drops the caller's
@@ -540,6 +547,11 @@ func (r *Registry) finalizeLocked(j *Job, state State, result any, err error) {
 	if j.key != "" && r.byKey[j.key] == j {
 		delete(r.byKey, j.key)
 	}
+	// Members of a phase that never ran share its fate.
+	for _, m := range j.pending {
+		r.finalizeLocked(m, state, nil, err)
+	}
+	j.pending = nil
 	close(j.done)
 	j.notifyLocked()
 	j.cancel()
@@ -594,6 +606,13 @@ func (r *Registry) runJob(j *Job) (handedOff bool) {
 	j.started = time.Now()
 	r.running++
 	j.notifyLocked()
+	for _, m := range j.pending {
+		if m.state == StateQueued {
+			m.state, m.started = StateRunning, j.started
+			m.notifyLocked()
+		}
+	}
+	j.pending = nil
 	r.mu.Unlock()
 
 	res, err := runSafely(j)

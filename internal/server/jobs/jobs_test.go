@@ -309,6 +309,42 @@ func TestExternalMemberAndBind(t *testing.T) {
 	waitFor(t, "phase job to finish", func() bool { return phase.State() == StateDone })
 }
 
+// TestMemberMirrorsQueuedPhase: a member bound to a queued phase reports
+// queued, with no start time, until the phase starts; a phase cancelled
+// before it runs takes its members with it.
+func TestMemberMirrorsQueuedPhase(t *testing.T) {
+	r := testRegistry(t, Options{Workers: 1})
+	block := make(chan struct{})
+	r.Submit(SubmitOpts{Detached: true, Run: func(context.Context, *Job) (any, error) { <-block; return nil, nil }})
+	waitFor(t, "worker busy", func() bool { return r.Snapshot().Running == 1 })
+	phase := func(run RunFunc, members ...*Job) *Job {
+		p, _, _ := r.Submit(SubmitOpts{Detached: true, Run: run})
+		for _, m := range members {
+			r.Bind(m, p)
+		}
+		return p
+	}
+
+	m, _ := r.External(SubmitOpts{Key: "m"})
+	phase(func(context.Context, *Job) (any, error) { m.Complete("done", nil); return nil, nil }, m)
+	if _, started, _ := m.Times(); m.State() != StateQueued || !started.IsZero() {
+		t.Fatalf("member of a queued phase: state %v, started %v", m.State(), started)
+	}
+	m2, _ := r.External(SubmitOpts{Key: "m2"})
+	r.Cancel(phase(nil, m2))
+	if _, err := r.Wait(context.Background(), m2); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("member of a phase cancelled while queued: err %v, want ErrCancelled", err)
+	}
+
+	close(block)
+	if v, err := r.Wait(context.Background(), m); err != nil || v != "done" {
+		t.Fatalf("member Wait = (%v, %v)", v, err)
+	}
+	if _, started, _ := m.Times(); started.IsZero() {
+		t.Fatal("member has no start time after its phase ran")
+	}
+}
+
 // TestAbandonedMembersCancelPhase: when every member of a batch loses its
 // last caller, the phase job's context is cancelled so the mining stops.
 func TestAbandonedMembersCancelPhase(t *testing.T) {

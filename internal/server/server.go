@@ -225,10 +225,6 @@ type kbEntry struct {
 
 func (e *kbEntry) sys() *remi.System { return e.sysPtr.Load() }
 
-// mineFunc abstracts System.MineContext so tests can substitute a
-// controllable miner.
-type mineFunc func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error)
-
 // mineBatchEachFunc abstracts System.MineBatchEach for tests.
 type mineBatchEachFunc func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error)
 
@@ -239,12 +235,11 @@ type Server struct {
 	kbs         map[string]*kbEntry
 	defaultName string
 
-	mine          mineFunc          // test override (nil in production)
 	mineBatchEach mineBatchEachFunc // test override (nil in production)
 	opts          Options
 	started       time.Time
-	// jobs is the unified execution subsystem: every mining run — blocking
-	// single, batch entry, async, streaming — is a job in this registry,
+	// jobs is the unified execution subsystem: every mined target set —
+	// whichever endpoint asked for it — is a member job in this registry,
 	// sharing one flight-key namespace and one admission-controlled pool.
 	jobs *jobs.Registry
 
@@ -436,15 +431,6 @@ func (s *Server) sys() *remi.System {
 		return nil
 	}
 	return e.sys()
-}
-
-// mineContext routes to the test override when set, otherwise to the
-// entry's current System.
-func (s *Server) mineContext(e *kbEntry, ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
-	if s.mine != nil {
-		return s.mine(ctx, targets, opts...)
-	}
-	return e.sys().MineContext(ctx, targets, opts...)
 }
 
 // mineBatchEachContext routes to the test override when set, otherwise to
@@ -816,48 +802,20 @@ func (s *Server) mineOptions(q *MineRequest) ([]remi.MineOption, error) {
 	return opts, nil
 }
 
-// decodeBody decodes a size-capped JSON request body, reporting whether the
-// payload exceeded the cap.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) (tooLarge bool, err error) {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		return errors.As(err, &maxErr), fmt.Errorf("decoding request: %w", err)
+// decodeBody decodes a size-capped JSON request body into v. A malformed
+// body is answered 400, one over the cap 413, and false returned.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, c *counter, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return false, nil
-}
-
-// mineQuery is a validated single-target-set mining request bound to its
-// KB, carrying the facade options and the unified flight/cache key.
-type mineQuery struct {
-	e     *kbEntry
-	q     MineRequest
-	opts  []remi.MineOption
-	key   string
-	reqID string
-}
-
-// prepareMine validates an already-decoded MineRequest against the server
-// limits, resolves its KB and builds the flight key. On error the returned
-// status is the HTTP code to answer with.
-func (s *Server) prepareMine(r *http.Request, q MineRequest) (*mineQuery, int, error) {
-	e, err := s.kbFromRequest(r, q.KB)
-	if err != nil {
-		return nil, errStatus(err), err
+	status := http.StatusBadRequest
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		status = http.StatusRequestEntityTooLarge
 	}
-	q.KB = e.name
-	q.normalize()
-	if len(q.Targets) == 0 {
-		return nil, http.StatusBadRequest, errors.New("targets is required")
-	}
-	if len(q.Targets) > s.opts.MaxTargets {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("%d targets exceed the limit of %d", len(q.Targets), s.opts.MaxTargets)
-	}
-	opts, err := s.mineOptions(&q)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	return &mineQuery{e: e, q: q, opts: opts, key: s.cacheKey(e, q.key()), reqID: requestIDOf(r)}, 0, nil
+	s.writeError(w, c, status, fmt.Errorf("decoding request: %w", err))
+	return false
 }
 
 // cachedResult consults the result LRU (nil-safe).
@@ -883,22 +841,6 @@ const (
 	jobKindBatchPhase = "batch_phase"
 )
 
-// submitMine admits one single-set mining run into the job subsystem under
-// its flight key: concurrent identical queries — blocking, async, streaming
-// or batch members alike — join the same job and share one evaluator pass.
-// retain keeps the finished job pollable past the last waiter (async
-// submissions); blocking callers let it drop with their interest.
-func (s *Server) submitMine(mq *mineQuery, retain bool) (*jobs.Job, bool, error) {
-	return s.jobs.Submit(jobs.SubmitOpts{
-		Key:      mq.key,
-		Kind:     jobKindMine,
-		Meta:     jobMeta{kb: mq.e.name, requestID: mq.reqID},
-		Retain:   retain,
-		Deadline: s.jobDeadline(time.Duration(mq.q.TimeoutMS) * time.Millisecond),
-		Run:      s.mineRun(mq),
-	})
-}
-
 // jobDeadline converts a run's effective timeout into a watchdog deadline.
 // With the watchdog disabled (no grace configured) every deadline is zero,
 // so runs keep their cooperative timeouts but are never force-killed —
@@ -908,40 +850,6 @@ func (s *Server) jobDeadline(timeout time.Duration) time.Duration {
 		return 0
 	}
 	return timeout
-}
-
-// mineRun is the pool-executed body of a single-set mining job. Each new
-// incumbent is emitted into the job's event log for streaming subscribers;
-// the completed result feeds the stats aggregates and the result LRU exactly
-// as the blocking path always did.
-func (s *Server) mineRun(mq *mineQuery) jobs.RunFunc {
-	return func(ctx context.Context, j *jobs.Job) (any, error) {
-		// Chaos hooks: a wedged evaluator (ignores ctx until disarmed) and an
-		// evaluator bug (panic → ErrPanicked → 500). One atomic load each
-		// while disarmed.
-		if err := faults.Fire(ctx, faults.JobStuck); err != nil {
-			return nil, err
-		}
-		if err := faults.Fire(ctx, faults.MinePanic); err != nil {
-			return nil, err
-		}
-		s.mineRuns.Add(1)
-		opts := append(mq.opts[:len(mq.opts):len(mq.opts)], remi.WithProgress(func(p remi.Progress) {
-			j.Emit(streamProgress, StreamEvent{Event: streamProgress,
-				Kind: p.Kind, Expression: p.Expression, Bits: p.Bits})
-		}))
-		res, err := s.mineContext(mq.e, ctx, mq.q.Targets, opts...)
-		if err == nil {
-			s.recordRun(res, true)
-			// Only complete searches are worth remembering: a timed-out run
-			// holds whatever the deadline allowed, and a retry with more
-			// budget deserves a fresh search.
-			if s.results != nil && !res.Stats.TimedOut {
-				s.results.Put(mq.key, res)
-			}
-		}
-		return res, err
-	}
 }
 
 // setRetryAfter writes a Retry-After header in whole seconds, rounded up
@@ -988,95 +896,42 @@ func (s *Server) admitMining(w http.ResponseWriter, r *http.Request, c *counter,
 	return false
 }
 
-func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	s.cMine.requests.Add(1)
-	var q MineRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, &s.cMine, status, err)
-		return
-	}
-	if !s.admitMining(w, r, &s.cMine, 1) {
-		return
-	}
-	mq, status, err := s.prepareMine(r, q)
-	if err != nil {
-		s.writeError(w, &s.cMine, status, err)
-		return
-	}
-	if res, ok := s.cachedResult(mq.key); ok {
-		writeJSON(w, http.StatusOK, wireResult(res, false, true))
-		return
-	}
-	j, joined, err := s.submitMine(mq, false)
-	if err != nil {
-		if errors.Is(err, jobs.ErrSaturated) {
-			s.shedLoad(w, &s.cMine, err)
-			return
-		}
-		s.writeError(w, &s.cMine, errStatus(err), err)
-		return
-	}
-	if joined {
-		s.dedupedHits.Add(1)
-	}
-	v, err := s.jobs.Wait(r.Context(), j)
-	if err != nil {
-		s.writeError(w, &s.cMine, errStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wireResult(v.(*remi.Result), joined, false))
-}
-
-// recordRun folds one completed mining run into the aggregate stats.
-// includeCache is false for batch entries: their per-set cache counters may
-// attribute a concurrent neighbor's lookups, so the batch handler folds the
-// exact whole-batch totals in separately (recordBatchCache) instead of
-// summing the approximate per-set values.
-func (s *Server) recordRun(res *remi.Result, includeCache bool) {
-	st := wireStats(res.Stats)
+// recordPhase folds one mining phase into the aggregate stats: search
+// counters per attempted set, cache traffic from the phase's exact
+// evaluator totals (per-set counters may attribute a concurrent neighbor's
+// lookups and would overcount).
+func (s *Server) recordPhase(br *remi.BatchResult) {
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
-	s.agg.Candidates += int64(res.Stats.Candidates)
-	s.agg.Visited += res.Stats.Visited
-	s.agg.RETests += res.Stats.RETests
-	if includeCache {
-		s.agg.CacheHits += res.Stats.CacheHits
-		s.agg.CacheMisses += res.Stats.CacheMisses
+	s.mineRuns.Add(int64(len(br.Entries)))
+	s.agg.CacheHits += br.CacheHits
+	s.agg.CacheMisses += br.CacheMisses
+	for _, e := range br.Entries {
+		res := e.Result
+		if res == nil {
+			continue
+		}
+		st := wireStats(res.Stats)
+		s.agg.Candidates += int64(res.Stats.Candidates)
+		s.agg.Visited += res.Stats.Visited
+		s.agg.RETests += res.Stats.RETests
+		s.agg.TotalSearchMS += st.SearchMS
+		s.agg.TotalQueueMS += st.QueueBuildMS
+		if res.Stats.TimedOut {
+			s.agg.TimedOut++
+		}
+		if res.Found {
+			s.agg.SolutionsFound++
+		}
+		s.lastRun = &st
+		s.lastAt = time.Now()
 	}
-	s.agg.TotalSearchMS += st.SearchMS
-	s.agg.TotalQueueMS += st.QueueBuildMS
-	if res.Stats.TimedOut {
-		s.agg.TimedOut++
-	}
-	if res.Found {
-		s.agg.SolutionsFound++
-	}
-	s.lastRun = &st
-	s.lastAt = time.Now()
-}
-
-// recordBatchCache folds one batch's exact evaluator totals into the
-// aggregate cache counters (see recordRun).
-func (s *Server) recordBatchCache(hits, misses uint64) {
-	s.aggMu.Lock()
-	s.agg.CacheHits += hits
-	s.agg.CacheMisses += misses
-	s.aggMu.Unlock()
 }
 
 func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	s.cSummarize.requests.Add(1)
 	var q SummarizeRequest
-	if tooLarge, err := decodeBody(w, r, &q); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, &s.cSummarize, status, err)
+	if !s.decodeBody(w, r, &s.cSummarize, &q) {
 		return
 	}
 	e, err := s.kbFromRequest(r, q.KB)

@@ -52,6 +52,22 @@ func flightKeyOf(t *testing.T, s *Server, q MineRequest) string {
 	return s.cacheKey(e, q.key())
 }
 
+// mineEach installs fn as the server's miner: every mining phase calls it
+// once per set, in order, and delivers each outcome as that set's entry.
+// fn receives the phase's options, so a real System.MineContext behind it
+// emits progress, which the phase routes to its first set.
+func mineEach(s *Server, fn func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error)) {
+	s.mineBatchEach = func(ctx context.Context, sets [][]string, each func(int, remi.BatchEntry), opts ...remi.MineOption) (*remi.BatchResult, error) {
+		br := &remi.BatchResult{Entries: make([]remi.BatchEntry, len(sets))}
+		for i, set := range sets {
+			res, err := fn(ctx, set, opts...)
+			br.Entries[i] = remi.BatchEntry{Result: res, Err: err}
+			each(i, br.Entries[i])
+		}
+		return br, nil
+	}
+}
+
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
 	buf, err := json.Marshal(body)
@@ -141,11 +157,11 @@ func TestMineCancelledRequest(t *testing.T) {
 	// real System under that cancelled context.
 	started := make(chan struct{})
 	real := s.sys().MineContext
-	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+	mineEach(s, func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		close(started)
 		<-ctx.Done()
 		return real(ctx, targets, opts...)
-	}
+	})
 	h := s.Handler()
 
 	buf, _ := json.Marshal(MineRequest{Targets: []string{tinyNS + "Rennes", tinyNS + "Nantes"}})
@@ -195,11 +211,11 @@ func TestMineDeduplicated(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int32
 	real := s.sys().MineContext
-	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+	mineEach(s, func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		calls.Add(1)
 		<-release
 		return real(ctx, targets, opts...)
-	}
+	})
 	h := s.Handler()
 	// Same query, different target order: normalization must unify the key.
 	bodies := []MineRequest{
@@ -316,9 +332,9 @@ func TestMineBodyTooLarge(t *testing.T) {
 // 500 for the waiters instead of killing the process.
 func TestMinePanicRecovered(t *testing.T) {
 	s := tinyServer(t, Options{})
-	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+	mineEach(s, func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		panic("boom")
-	}
+	})
 	h := s.Handler()
 	rec := postJSON(t, h, "/v1/mine", MineRequest{Targets: []string{tinyNS + "Paris"}})
 	if rec.Code != http.StatusInternalServerError {
@@ -497,9 +513,9 @@ func TestMineResultCacheDisabled(t *testing.T) {
 // pinned in the cache — a retry deserves a fresh search.
 func TestMineResultCacheSkipsTimedOut(t *testing.T) {
 	s := tinyServer(t, Options{})
-	s.mine = func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
+	mineEach(s, func(ctx context.Context, targets []string, opts ...remi.MineOption) (*remi.Result, error) {
 		return &remi.Result{Stats: remi.MineStats{TimedOut: true}}, nil
-	}
+	})
 	h := s.Handler()
 	body := MineRequest{Targets: []string{tinyNS + "Paris"}}
 	for i := 0; i < 2; i++ {

@@ -19,8 +19,8 @@ import (
 // IRI does not name an entity of the loaded KB; test with errors.Is.
 var ErrUnknownEntity = errors.New("remi: unknown entity")
 
-// ErrEmptyTargetSet marks a target set with no entities inside a MineBatch
-// call (the per-set analogue of the error Mine returns for empty input).
+// ErrEmptyTargetSet marks a target set with no entities: Mine and
+// MineContext return it for empty input, and a MineBatch entry carries it.
 var ErrEmptyTargetSet = errors.New("remi: empty target set")
 
 // ErrMinePanicked marks a per-set mining panic recovered inside MineBatch:
@@ -90,6 +90,9 @@ type Progress struct {
 	Expression string
 	// Bits is its estimated complexity Ĉ.
 	Bits float64
+	// Set is the index of the target set whose search produced the event
+	// within a MineBatch call (0 for Mine and MineContext).
+	Set int
 }
 
 // WithProgress streams coarse search progress (currently: each improvement
@@ -98,7 +101,8 @@ type Progress struct {
 // sequential miner only (WithWorkers > 1 mines without progress events).
 // The subscription is mask-narrowed inside the core, so it adds no per-node
 // allocations to the search hot path. Within MineBatch, sets may run
-// concurrently and share fn, which must then be safe for concurrent use.
+// concurrently and share fn, which must then be safe for concurrent use;
+// Progress.Set tells their events apart.
 func WithProgress(fn func(Progress)) MineOption { return func(c *mineConfig) { c.progress = fn } }
 
 // Solution is one referring expression with its complexity and renderings.
@@ -155,36 +159,18 @@ func (s *System) Mine(targetIRIs []string, opts ...MineOption) (*Result, error) 
 // context deadline stops the underlying search promptly (the partial result
 // is returned with Stats.TimedOut set), so servers can tie a mining run to
 // the lifetime of an HTTP request. WithTimeout still applies on top of ctx;
-// whichever limit fires first ends the run.
+// whichever limit fires first ends the run. It is MineBatchEach over one
+// set, so its errors are that set's entry error.
 func (s *System) MineContext(ctx context.Context, targetIRIs []string, opts ...MineOption) (*Result, error) {
-	cfg := defaultMineConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	targets := make([]kb.EntID, 0, len(targetIRIs))
-	for _, iri := range targetIRIs {
-		id, ok := s.kb.EntityID(rdf.NewIRI(iri))
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownEntity, iri)
-		}
-		targets = append(targets, id)
-	}
-
-	est, err := s.estimator(cfg)
+	br, err := s.MineBatchEach(ctx, [][]string{targetIRIs}, nil, opts...)
 	if err != nil {
 		return nil, err
 	}
-	miner := core.NewMiner(s.kb, est, s.coreConfig(cfg))
-	res, err := miner.MineContext(ctx, targets)
-	if err != nil {
-		return nil, err
-	}
-	return s.resultOf(res, cfg, targets), nil
+	return br.Entries[0].Result, br.Entries[0].Err
 }
 
 // resultOf converts a core result to the facade form (renderings, SPARQL,
-// exceptions) — the single conversion shared by MineContext and MineBatch,
-// so batch responses are byte-identical to sequential ones.
+// exceptions), shared by every entry of a batch.
 func (s *System) resultOf(res *core.Result, cfg mineConfig, targets []kb.EntID) *Result {
 	out := &Result{
 		Found: res.Found(),
@@ -419,7 +405,7 @@ func (s *System) coreConfig(cfg mineConfig) core.Config {
 		// for every kind the subscriber does not want.
 		c.TraceMask = core.MaskOf(core.EventNewBest)
 		c.Trace = func(ev core.Event) {
-			fn(Progress{Kind: "new_best", Expression: ev.Expression.Format(s.kb), Bits: ev.Cost})
+			fn(Progress{Kind: "new_best", Expression: ev.Expression.Format(s.kb), Bits: ev.Cost, Set: ev.Set})
 		}
 	}
 	return c

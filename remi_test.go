@@ -1,6 +1,8 @@
 package remi
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,6 +58,19 @@ func TestMineUnknownEntity(t *testing.T) {
 	sys := tinySystem(t)
 	if _, err := sys.Mine([]string{"http://nowhere/x"}); err == nil {
 		t.Fatal("unknown entity accepted")
+	}
+}
+
+// TestMineEmptyTargetSet: empty input fails with the public
+// ErrEmptyTargetSet, the error a batch entry carries, so callers outside
+// the module can test for it.
+func TestMineEmptyTargetSet(t *testing.T) {
+	sys := tinySystem(t)
+	if _, err := sys.Mine(nil); !errors.Is(err, ErrEmptyTargetSet) {
+		t.Fatalf("Mine(nil) error = %v, want ErrEmptyTargetSet", err)
+	}
+	if _, err := sys.MineContext(context.Background(), []string{}); !errors.Is(err, ErrEmptyTargetSet) {
+		t.Fatalf("MineContext(empty) error = %v, want ErrEmptyTargetSet", err)
 	}
 }
 
